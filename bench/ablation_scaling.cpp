@@ -5,11 +5,12 @@
 // A strong-scaled subsurface solver is run on P and 2P ranks; under ideal
 // strong scaling the rank-aggregated cycles of every scope are conserved.
 // The serial setup phase doubles instead — the scaling-loss metric must
-// rank it first and a hot path over the loss column must land on it.
+// rank it first and a hot path over the loss column must land on it. The
+// pair is differenced as a 2-member ensemble (ensemble::scaling_diff).
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "pathview/analysis/scaling.hpp"
+#include "pathview/ensemble/ensemble.hpp"
 #include "pathview/prof/pipeline.hpp"
 #include "pathview/sim/parallel_runner.hpp"
 #include "pathview/support/format.hpp"
@@ -19,13 +20,15 @@ using namespace pathview;
 
 namespace {
 
-prof::CanonicalCct run_merged(workloads::SubsurfaceWorkload& w,
-                              std::uint32_t nranks) {
+std::shared_ptr<const db::Experiment> run_merged(
+    workloads::SubsurfaceWorkload& w, std::uint32_t nranks) {
   sim::ParallelConfig pc;
   pc.nranks = nranks;
   pc.base = w.run;
   const auto raws = sim::run_parallel(*w.program, *w.lowering, pc);
-  return prof::Pipeline().run(raws, *w.tree);
+  return std::make_shared<const db::Experiment>(db::Experiment::capture(
+      *w.tree, prof::Pipeline().run(raws, *w.tree),
+      "subsurface-" + std::to_string(nranks), nranks));
 }
 
 }  // namespace
@@ -33,19 +36,15 @@ prof::CanonicalCct run_merged(workloads::SubsurfaceWorkload& w,
 int main(int argc, char** argv) {
   obs::set_enabled(true);  // collect counters for the JSON report
   constexpr std::uint32_t kBase = 4, kScaled = 8;
-  // One workload object: both runs must share the structure tree.
   workloads::SubsurfaceWorkload w =
       workloads::make_subsurface(kScaled, 42, /*strong_scale_base=*/kBase);
-
-  const prof::CanonicalCct base = run_merged(w, kBase);
-  const prof::CanonicalCct scaled = run_merged(w, kScaled);
-
-  const analysis::ScalingAnalysis sa =
-      analysis::analyze_scaling(base, kBase, scaled, kScaled,
-                                model::Event::kCycles);
+  const ensemble::ScalingDiff sa =
+      ensemble::scaling_diff(run_merged(w, kBase), run_merged(w, kScaled),
+                             model::Event::kCycles, kBase, kScaled);
 
   // Walk the loss column: hot path by maximal positive loss.
-  const prof::CanonicalCct& u = *sa.cct;
+  const prof::CanonicalCct& u = sa.cct();
+  const metrics::MetricTable& t = sa.table();
   std::puts("hot path over the scaling-loss column:");
   prof::CctNodeId cur = u.root();
   prof::CctNodeId last_named = u.root();
@@ -53,14 +52,14 @@ int main(int argc, char** argv) {
     prof::CctNodeId best = prof::kCctNull;
     double best_v = 0;
     for (prof::CctNodeId c : u.node(cur).children) {
-      const double v = sa.table.get(sa.loss_col, c);
+      const double v = t.get(sa.loss_col, c);
       if (best == prof::kCctNull || v > best_v) {
         best = c;
         best_v = v;
       }
     }
     if (best == prof::kCctNull ||
-        best_v < 0.5 * sa.table.get(sa.loss_col, cur))
+        best_v < 0.5 * t.get(sa.loss_col, cur))
       break;
     cur = best;
     last_named = cur;
@@ -68,8 +67,8 @@ int main(int argc, char** argv) {
                 format_scientific(best_v).c_str());
   }
 
-  const double root_loss = sa.table.get(sa.loss_col, u.root());
-  const double root_base = sa.table.get(sa.base_col, u.root());
+  const double root_loss = t.get(sa.loss_col, u.root());
+  const double root_base = t.get(sa.base_col, u.root());
 
   bench::Report rep("Scaling-loss ablation (strong-scaled PFLOTRAN)",
                     bench::meta_from_args(argc, argv, "ablation_scaling"));

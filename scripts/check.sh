@@ -1,13 +1,17 @@
 #!/bin/sh
 # Full verification: configure (warnings-as-errors for library code), build,
-# run the test suite, then every figure-reproduction harness (each exits
-# nonzero if a paper value drifts out of its tolerance band), a pvserve
-# smoke with concurrent clients, a fault-injection matrix (kill-mid-write,
-# torn write, measurement salvage), the test suite again under ASan+UBSan,
-# and the concurrent pipeline/serve/fault tests + both smokes under TSan.
+# run the test suite, the pvbench smoke (every workload at toy size with
+# its correctness checks, e.g. the summarize union matches the merged CCT
+# and its statistics cover every rank), then every figure-reproduction
+# harness (each exits nonzero if a paper value drifts out of its tolerance
+# band), a pvserve smoke with concurrent clients, a fault-injection matrix
+# (kill-mid-write, torn write, measurement salvage), the test suite again
+# under ASan+UBSan, and the concurrent pipeline/serve/fault tests + both
+# smokes under TSan.
 #
 #   scripts/check.sh          full run
-#   scripts/check.sh --quick  build + tests only (no benches, no sanitizers)
+#   scripts/check.sh --quick  build + tests + pvbench smoke only (no
+#                             benches, no sanitizers)
 #
 # Set PATHVIEW_SKIP_SANITIZE=1 to skip both sanitizer passes.
 set -eu
@@ -304,6 +308,11 @@ cmake -B build -DPATHVIEW_WERROR=ON
 cmake --build build -j "$(nproc)"
 # Per-test timeout so one hung test fails instead of wedging the whole run.
 ctest --test-dir build --output-on-failure --timeout 120
+
+echo "== pvbench smoke (its own package, built from src/)"
+cmake -S pvbench -B .bench_build/pvbench -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build/pvbench -j "$(nproc)"
+ctest --test-dir .bench_build/pvbench --output-on-failure -R pvbench_smoke
 
 if [ "$quick" = "1" ]; then
   echo "QUICK CHECKS PASSED"

@@ -414,6 +414,22 @@ Ensemble Ensemble::align(
   return out;
 }
 
+ScalingDiff scaling_diff(std::shared_ptr<const db::Experiment> base,
+                         std::shared_ptr<const db::Experiment> scaled,
+                         model::Event event, double p_base, double p_scaled,
+                         metrics::ScalingMode mode) {
+  EnsembleOptions opts;
+  opts.events = {event};
+  Ensemble ens = Ensemble::align({std::move(base), std::move(scaled)}, opts);
+  metrics::MetricTable& table = ens.attr_.table;
+  const std::string incl = std::string(model::event_name(event)) + " (I)";
+  const metrics::ColumnId base_col = *table.find(run_column(incl, 0));
+  const metrics::ColumnId scaled_col = *table.find(run_column(incl, 1));
+  const metrics::ColumnId loss_col = metrics::add_scaling_loss_metric(
+      table, base_col, scaled_col, p_base, p_scaled, mode);
+  return ScalingDiff{std::move(ens), base_col, scaled_col, loss_col};
+}
+
 std::size_t Ensemble::presence_count(prof::CctNodeId n) const {
   std::size_t count = 0;
   for (std::size_t w = 0; w < words_; ++w)

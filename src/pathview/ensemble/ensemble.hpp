@@ -27,9 +27,12 @@
 
 #include "pathview/db/experiment.hpp"
 #include "pathview/metrics/attribution.hpp"
+#include "pathview/metrics/waste.hpp"
 #include "pathview/prof/cct.hpp"
 
 namespace pathview::ensemble {
+
+struct ScalingDiff;
 
 /// Per-member metadata surfaced by CLIs and the serve open_ensemble reply.
 struct MemberInfo {
@@ -117,6 +120,11 @@ class Ensemble {
   }
 
  private:
+  friend ScalingDiff scaling_diff(std::shared_ptr<const db::Experiment>,
+                                  std::shared_ptr<const db::Experiment>,
+                                  model::Event, double, double,
+                                  metrics::ScalingMode);
+
   Ensemble() = default;
 
   std::unique_ptr<structure::StructureTree> tree_;
@@ -130,5 +138,28 @@ class Ensemble {
   std::vector<std::uint64_t> presence_;
   std::size_t words_ = 0;
 };
+
+/// Pairwise scaling loss (paper Sec. VI-A, after Coarfa et al.): the 2-member
+/// ensemble {run0 = base, run1 = scaled} over one event, plus the
+/// "SCALING LOSS" derived column over its run0/run1 inclusive columns (see
+/// metrics::add_scaling_loss_metric). Scopes unique to either run stay in
+/// the supergraph with zero cost on the other side.
+struct ScalingDiff {
+  Ensemble ens;
+  metrics::ColumnId base_col;    // "<event> (I) run0"
+  metrics::ColumnId scaled_col;  // "<event> (I) run1"
+  metrics::ColumnId loss_col;    // "SCALING LOSS"
+
+  const prof::CanonicalCct& cct() const { return ens.cct(); }
+  const metrics::MetricTable& table() const { return ens.attribution().table; }
+};
+
+/// `p_base` / `p_scaled` are the runs' rank counts (the weak-scaling growth
+/// factor). Throws InvalidArgument on a null run or a non-positive count.
+ScalingDiff scaling_diff(
+    std::shared_ptr<const db::Experiment> base,
+    std::shared_ptr<const db::Experiment> scaled, model::Event event,
+    double p_base, double p_scaled,
+    metrics::ScalingMode mode = metrics::ScalingMode::kStrong);
 
 }  // namespace pathview::ensemble

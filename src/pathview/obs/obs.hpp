@@ -45,7 +45,12 @@ namespace detail {
 /// additionally publish onto the thread's lock-free live stack). The
 /// per-thread kFlight bit lives in `t_flight_armed`, not here.
 extern std::atomic<std::uint32_t> g_mode;
-extern thread_local bool t_flight_armed;
+// constinit (here and at the definition) tells every includer that the
+// variable has no dynamic initializer, so GCC reads it directly instead of
+// through a TLS wrapper that first probes a weak init-function symbol;
+// -fsanitize=null reported that wrapped read in span_mode() as a load of a
+// null bool.
+extern constinit thread_local bool t_flight_armed;
 inline constexpr std::uint32_t kModeRecord = 1u;
 inline constexpr std::uint32_t kModeLive = 2u;
 inline constexpr std::uint32_t kModeFlight = 4u;

@@ -12,6 +12,7 @@
 
 #include "pathview/obs/obs.hpp"
 #include "pathview/prof/correlate.hpp"
+#include "pathview/prof/summarize.hpp"
 #include "pathview/support/error.hpp"
 
 namespace pathview::prof {
@@ -24,14 +25,15 @@ namespace {
 // (kind, scope, call_site), so two trees merge with a linear merge-join (no
 // hash lookups) and grafting a disjoint subtree is a bulk append of
 // trivially-copyable nodes. Samples are never copied or summed inside the
-// tree: a union node carries a chain of (part, node) references into the
-// still-alive input parts, spliced in O(1) per merge, and folded only at
-// finalization in ascending part order (see pipeline.hpp).
+// tree: a union node carries a chain of every (part, node) pair matched into
+// it — references into the still-alive input parts, spliced in O(1) per
+// merge — which finalization folds in ascending part order (see
+// pipeline.hpp) and which also yields each part's part→union node map.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint32_t kNoParent = 0xffffffffu;
 constexpr std::uint32_t kNone = 0xffffffffu;
-constexpr std::int64_t kNil = -1;  // empty contribution reference
+constexpr std::int64_t kNil = -1;  // end of a contribution chain
 
 /// A contribution reference: part index in the high 32 bits, node id within
 /// that part in the low 32.
@@ -55,7 +57,8 @@ struct MNode {
   std::uint32_t first_part = 0;
   std::uint32_t first_id = 0;
   // Contribution chain endpoints ((part, node) refs resolved via
-  // MergeContext::links), in ascending part order.
+  // MergeContext::links), in ascending part order. Never empty: a node is
+  // created from some part's node, which heads its chain.
   std::int64_t chead = kNil;
   std::int64_t ctail = kNil;
   // Intrusive sibling list, kept sorted by sibling identity.
@@ -98,6 +101,29 @@ bool sibling_equal(const NodeA& a, const NodeB& b) {
   return a.kind == b.kind && a.scope == b.scope && a.call_site == b.call_site;
 }
 
+/// Worker threads for `requested` (0 = hardware concurrency).
+std::uint32_t worker_count(std::uint32_t requested) {
+  return requested == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                        : requested;
+}
+
+/// Run `fn(begin, end)` on `nthreads` contiguous slices of [0, n), one
+/// thread per slice (inline when there is one).
+template <typename Fn>
+void for_slices(std::uint32_t nthreads, std::size_t n, Fn&& fn) {
+  const std::size_t k =
+      std::max<std::size_t>(1, std::min<std::size_t>(nthreads, n));
+  if (k == 1) {
+    fn(std::size_t{0}, n);
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(k);
+  for (std::size_t t = 0; t < k; ++t)
+    pool.emplace_back([&fn, n, k, t] { fn(n * t / k, n * (t + 1) / k); });
+  for (auto& th : pool) th.join();
+}
+
 /// Lower part `part_index` into a MergeTree leaf. Node ids are preserved
 /// (CanonicalCct ids are already topological), which is exactly what the
 /// serial creation keys need.
@@ -117,8 +143,7 @@ MergeTree from_cct(MergeContext& ctx, std::uint32_t part_index) {
     dst.parent = id == kCctRoot ? kNoParent : src.parent;
     dst.first_part = part_index;
     dst.first_id = id;
-    if (!part.samples(id).all_zero())
-      dst.chead = dst.ctail = pack_ref(part_index, id);
+    dst.chead = dst.ctail = pack_ref(part_index, id);
     if (src.children.empty()) continue;
     scratch.assign(src.children.begin(), src.children.end());
     std::sort(scratch.begin(), scratch.end(),
@@ -192,13 +217,8 @@ void absorb(MergeContext& ctx, MergeTree& a, MergeTree&& b) {
       // key (its first occurrence) is always the smaller of the two.
       MNode& an = a.nodes[ai];
       const MNode& bn = b.nodes[bi];
-      if (bn.chead != kNil) {
-        if (an.chead == kNil)
-          an.chead = bn.chead;
-        else
-          ctx.link(an.ctail) = bn.chead;
-        an.ctail = bn.ctail;
-      }
+      ctx.link(an.ctail) = bn.chead;
+      an.ctail = bn.ctail;
     }
 
     // Merge-join the two sorted sibling lists. a's list stays sorted and
@@ -255,8 +275,7 @@ std::uint32_t graft_cct_subtree(MergeTree& a, const CanonicalCct& part,
     n.parent = parent;
     n.first_part = part_index;
     n.first_id = pid;
-    if (!part.samples(pid).all_zero())
-      n.chead = n.ctail = pack_ref(part_index, pid);
+    n.chead = n.ctail = pack_ref(part_index, pid);
     a.nodes.push_back(n);
     return id;
   };
@@ -302,15 +321,9 @@ void absorb_part(MergeContext& ctx, MergeTree& a, std::uint32_t part_index,
     const auto [ai, pi] = stack.back();
     stack.pop_back();
 
-    if (!part.samples(pi).all_zero()) {
-      const std::int64_t ref = pack_ref(part_index, pi);
-      MNode& an = a.nodes[ai];
-      if (an.chead == kNil)
-        an.chead = ref;
-      else
-        ctx.link(an.ctail) = ref;
-      an.ctail = ref;
-    }
+    const std::int64_t ref = pack_ref(part_index, pi);
+    ctx.link(a.nodes[ai].ctail) = ref;
+    a.nodes[ai].ctail = ref;
 
     const std::vector<CctNodeId>& pch = part.node(pi).children;
     if (pch.empty()) continue;
@@ -347,13 +360,18 @@ void absorb_part(MergeContext& ctx, MergeTree& a, std::uint32_t part_index,
   }
 }
 
+/// part index -> (node id within that part -> union node id).
+using PartMaps = std::vector<std::vector<CctNodeId>>;
+
 /// Materialize the final canonical CCT. Nodes are appended in serial
 /// creation-key order (so ids match the serial fold exactly) and each node's
 /// contributions are folded in ascending part order, reproducing the serial
 /// fold bit for bit. The union tree is already deduplicated, so nodes are
-/// bulk-appended without sibling lookups.
+/// bulk-appended without sibling lookups. When `part_maps` is given, the
+/// same chain walk records where every part node landed.
 CanonicalCct finalize(const MergeTree& t, MergeContext& ctx,
-                      const structure::StructureTree* tree) {
+                      const structure::StructureTree* tree,
+                      std::uint32_t nthreads, PartMaps* part_maps) {
   PV_SPAN("prof.pipeline.finalize");
   const std::size_t n = t.nodes.size();
 
@@ -418,12 +436,25 @@ CanonicalCct finalize(const MergeTree& t, MergeContext& ctx,
   // absorb their batch in part order, internal tasks absorb consecutive
   // child ranges left to right, and splicing appends the higher range.
   // Folding each chain front to back therefore reproduces the serial fold's
-  // exact floating-point association.
+  // exact floating-point association. Chains are disjoint, so slices of
+  // union nodes fold in parallel.
   {
     PV_SPAN("prof.pipeline.finalize.fold");
-    for (std::uint32_t i = 0; i < n; ++i)
-      for (std::int64_t c = t.nodes[i].chead; c != kNil; c = ctx.link(c))
-        out.add_samples(map[i], ctx.parts[ref_part(c)]->samples(ref_id(c)));
+    if (part_maps != nullptr) {
+      part_maps->resize(ctx.parts.size());
+      for (std::size_t p = 0; p < ctx.parts.size(); ++p)
+        (*part_maps)[p].assign(ctx.parts[p]->size(), kCctNull);
+    }
+    for_slices(nthreads, n, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        for (std::int64_t c = t.nodes[i].chead; c != kNil; c = ctx.link(c)) {
+          const std::uint32_t p = ref_part(c), id = ref_id(c);
+          const model::EventVector& s = ctx.parts[p]->samples(id);
+          if (!s.all_zero()) out.add_samples(map[i], s);
+          if (part_maps != nullptr) (*part_maps)[p][id] = map[i];
+        }
+      }
+    });
   }
   // One degraded contribution taints the union, exactly as the serial
   // fold's merge() would have propagated it.
@@ -453,9 +484,7 @@ class TreeMerger {
              std::function<void(std::uint32_t)> make_part)
       : opts_(opts), ctx_(ctx), nparts_(nparts),
         make_part_(std::move(make_part)) {
-    nthreads_ = opts.nthreads == 0
-                    ? std::max(1u, std::thread::hardware_concurrency())
-                    : opts.nthreads;
+    nthreads_ = worker_count(opts.nthreads);
     arity_ = std::max(2u, opts.reduction_arity);
     batch_ = opts.batch_size;
     if (batch_ == 0) {
@@ -646,11 +675,8 @@ std::vector<CanonicalCct> Pipeline::correlate(
   for (std::size_t i = 0; i < ranks.size(); ++i)
     out.emplace_back(&tree);  // placeholders; filled below
 
-  std::uint32_t nthreads = opts_.nthreads == 0
-                               ? std::max(1u, std::thread::hardware_concurrency())
-                               : opts_.nthreads;
-  nthreads = std::min<std::uint32_t>(nthreads,
-                                     static_cast<std::uint32_t>(ranks.size()));
+  const std::uint32_t nthreads = std::min<std::uint32_t>(
+      worker_count(opts_.nthreads), static_cast<std::uint32_t>(ranks.size()));
 
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
@@ -671,32 +697,93 @@ std::vector<CanonicalCct> Pipeline::correlate(
   return out;
 }
 
-CanonicalCct Pipeline::run(const std::vector<sim::RawProfile>& ranks,
-                           const structure::StructureTree& tree) const {
-  PV_SPAN("prof.pipeline.run");
+namespace {
+
+/// The correlate + reduction-tree pass behind Pipeline::run and summarize().
+/// The correlated parts stay alive in `ctx.owned` for the caller, except for
+/// a single rank, whose part is stolen as the union itself (`ctx` stays
+/// empty and its part map, when asked for, is the identity).
+CanonicalCct run_pass(const PipelineOptions& opts,
+                      const std::vector<sim::RawProfile>& ranks,
+                      const structure::StructureTree& tree, MergeContext& ctx,
+                      PartMaps* part_maps) {
   if (ranks.empty()) throw InvalidArgument("Pipeline: no profiles");
   if (ranks.size() == 1) {
     // Single rank: the serial fold's accumulator is the part itself; steal
     // it instead of re-inserting every node.
     CanonicalCct acc(&tree);
-    acc.merge(prof::correlate(ranks[0], tree));
-    if (opts_.progress)
-      opts_.progress({PipelineProgress::Stage::kCorrelate, 1, 1});
+    std::vector<CctNodeId> map = acc.merge(prof::correlate(ranks[0], tree));
+    if (part_maps != nullptr) part_maps->assign(1, std::move(map));
+    if (opts.progress)
+      opts.progress({PipelineProgress::Stage::kCorrelate, 1, 1});
     return acc;
   }
-  MergeContext ctx;
   ctx.owned.reserve(ranks.size());
   ctx.parts.reserve(ranks.size());
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     ctx.owned.emplace_back(&tree);  // placeholders; filled by leaf tasks
     ctx.parts.push_back(&ctx.owned.back());
   }
-  TreeMerger merger(opts_, ctx, ranks.size(), [&](std::uint32_t i) {
+  TreeMerger merger(opts, ctx, ranks.size(), [&](std::uint32_t i) {
     PV_SPAN("prof.pipeline.correlate");
     ctx.owned[i] = prof::correlate(ranks[i], tree);
   });
   const MergeTree merged = merger.run();
-  return finalize(merged, ctx, &tree);
+  return finalize(merged, ctx, &tree, worker_count(opts.nthreads), part_maps);
+}
+
+}  // namespace
+
+CanonicalCct Pipeline::run(const std::vector<sim::RawProfile>& ranks,
+                           const structure::StructureTree& tree) const {
+  PV_SPAN("prof.pipeline.run");
+  MergeContext ctx;
+  return run_pass(opts_, ranks, tree, ctx, nullptr);
+}
+
+SummaryCct summarize(const std::vector<sim::RawProfile>& ranks,
+                     const structure::StructureTree& tree,
+                     std::uint32_t nthreads) {
+  PV_SPAN("prof.summarize");
+  if (ranks.empty()) throw InvalidArgument("summarize: no rank profiles");
+
+  PipelineOptions popts;
+  popts.nthreads = nthreads;
+  MergeContext ctx;
+  PartMaps maps;
+  SummaryCct out{run_pass(popts, ranks, tree, ctx, &maps),
+                 {},
+                 static_cast<std::uint32_t>(ranks.size())};
+
+  // Each part's inclusive costs, one observation per rank, folded in part
+  // order (the serial fold's order: bit-identical statistics). Workers own
+  // disjoint slices of union nodes, and each sees every part in order.
+  out.inclusive_stats.resize(out.cct.size());
+  for_slices(worker_count(nthreads), out.cct.size(),
+             [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t p = 0; p < maps.size(); ++p) {
+      const CanonicalCct& part = ctx.parts.empty() ? out.cct : *ctx.parts[p];
+      const std::vector<model::EventVector> incl = part.inclusive_samples();
+      for (CctNodeId src = 0; src < part.size(); ++src) {
+        const CctNodeId u = maps[p][src];
+        if (u < lo || u >= hi) continue;
+        for (std::size_t e = 0; e < model::kNumEvents; ++e)
+          out.inclusive_stats[u][e].add(incl[src].v[e]);
+      }
+    }
+    // Scopes absent from some ranks: pad with zero observations so the
+    // statistics cover all nranks.
+    for (std::size_t u = lo; u < hi; ++u) {
+      for (OnlineStats& st : out.inclusive_stats[u]) {
+        if (st.count() < out.nranks) {
+          OnlineStats pad = OnlineStats::zeros(out.nranks - st.count());
+          pad.merge(st);
+          st = pad;
+        }
+      }
+    }
+  });
+  return out;
 }
 
 namespace {
@@ -716,7 +803,7 @@ CanonicalCct merge_pointers(const PipelineOptions& opts, MergeContext& ctx,
                             const structure::StructureTree* tree) {
   TreeMerger merger(opts, ctx, ctx.parts.size(), [](std::uint32_t) {});
   const MergeTree merged = merger.run();
-  return finalize(merged, ctx, tree);
+  return finalize(merged, ctx, tree, worker_count(opts.nthreads), nullptr);
 }
 
 }  // namespace

@@ -24,8 +24,9 @@ struct SummaryCct {
   }
 };
 
-/// Correlate all ranks (in parallel), merge into a union CCT, and compute
-/// per-scope cross-rank statistics of inclusive costs.
+/// Correlate all ranks and merge them into a union CCT in Pipeline::run's
+/// one pass (implemented in pipeline.cpp), and compute per-scope cross-rank
+/// statistics of inclusive costs from where each rank's nodes landed.
 SummaryCct summarize(const std::vector<sim::RawProfile>& ranks,
                      const structure::StructureTree& tree,
                      std::uint32_t nthreads = 0);

@@ -1,10 +1,9 @@
-// Tests for load-imbalance analysis, histograms, and scaling-loss analysis.
+// Tests for load-imbalance analysis and histograms.
 #include <gtest/gtest.h>
 
 #include "pathview/support/error.hpp"
 
 #include "pathview/analysis/imbalance.hpp"
-#include "pathview/analysis/scaling.hpp"
 #include "pathview/prof/correlate.hpp"
 #include "pathview/prof/pipeline.hpp"
 #include "pathview/sim/parallel_runner.hpp"
@@ -110,41 +109,6 @@ TEST(Imbalance, IdlenessTracksInjectedFactors) {
       std::max_element(factors.begin(), factors.end()) - factors.begin());
   for (std::size_t r = 0; r < idle.size(); ++r)
     EXPECT_LE(idle[slowest], idle[r] + 1e-9);
-}
-
-TEST(Scaling, StrongScalingLossSemantics) {
-  workloads::SubsurfaceWorkload w = workloads::make_subsurface(4);
-  sim::ParallelConfig pc;
-  pc.nranks = 4;
-  pc.base = w.run;
-  const auto raws = sim::run_parallel(*w.program, *w.lowering, pc);
-  prof::PipelineOptions popts;
-  popts.nthreads = 2;
-  const prof::Pipeline pipeline(popts);
-  const prof::CanonicalCct base =
-      pipeline.merge(pipeline.correlate(raws, *w.tree));
-
-  // "Scaled" run identical in aggregate = ideal strong scaling: zero loss.
-  prof::CanonicalCct same(&*w.tree);
-  same.merge(base);
-  const ScalingAnalysis ideal =
-      analyze_scaling(base, 4, same, 8, Event::kCycles);
-  EXPECT_NEAR(ideal.table.get(ideal.loss_col, 0), 0.0, 1e-6);
-
-  // A scaled run whose aggregate DOUBLES (ranks redo all the work): the
-  // loss at the root equals the base total.
-  prof::CanonicalCct doubled(&*w.tree);
-  doubled.merge(base);
-  doubled.merge(base);
-  const ScalingAnalysis bad =
-      analyze_scaling(base, 4, doubled, 8, Event::kCycles);
-  const double root_base = bad.table.get(bad.base_col, 0);
-  EXPECT_NEAR(bad.table.get(bad.loss_col, 0), root_base, root_base * 0.01);
-
-  // Under the weak-scaling model the doubled run is exactly ideal.
-  const ScalingAnalysis weak = analyze_scaling(
-      base, 4, doubled, 8, Event::kCycles, metrics::ScalingMode::kWeak);
-  EXPECT_NEAR(weak.table.get(weak.loss_col, 0), 0.0, 1e-6);
 }
 
 }  // namespace

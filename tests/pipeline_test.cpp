@@ -16,28 +16,14 @@
 #include "pathview/workloads/random_program.hpp"
 #include "pathview/workloads/registry.hpp"
 #include "pathview/workloads/subsurface.hpp"
+#include "test_util.hpp"
 
 namespace pathview::prof {
 namespace {
 
 using model::Event;
 
-/// Bit-identical comparison: same node ids, shapes, and sample doubles.
-void expect_identical(const CanonicalCct& a, const CanonicalCct& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (CctNodeId id = 0; id < a.size(); ++id) {
-    const CctNode& x = a.node(id);
-    const CctNode& y = b.node(id);
-    EXPECT_EQ(x.kind, y.kind) << "node " << id;
-    EXPECT_EQ(x.parent, y.parent) << "node " << id;
-    EXPECT_EQ(x.scope, y.scope) << "node " << id;
-    EXPECT_EQ(x.call_site, y.call_site) << "node " << id;
-    EXPECT_EQ(x.children, y.children) << "node " << id;
-    for (std::size_t e = 0; e < model::kNumEvents; ++e)
-      EXPECT_EQ(a.samples(id).v[e], b.samples(id).v[e])
-          << "node " << id << " event " << e;
-  }
-}
+using testutil::expect_identical;
 
 std::vector<CanonicalCct> random_parts(const workloads::Workload& w,
                                        std::uint32_t nranks) {

@@ -12,6 +12,7 @@
 #include "pathview/workloads/paper_example.hpp"
 #include "pathview/workloads/random_program.hpp"
 #include "pathview/workloads/subsurface.hpp"
+#include "test_util.hpp"
 
 namespace pathview::prof {
 namespace {
@@ -159,6 +160,91 @@ TEST(Summarize, DetectsInjectedImbalance) {
   // Some rank idles (factors differ), so idle stddev at the root is > 0.
   EXPECT_GT(sum.stats(kCctRoot, Event::kIdle).stddev(), 0.0);
   EXPECT_GT(sum.stats(kCctRoot, Event::kIdle).sum(), 0.0);
+}
+
+/// Test-only oracle: summarize() as a separate pass — correlate every rank,
+/// fold the parts serially with CanonicalCct::merge in rank order, feed each
+/// part's inclusive costs to OnlineStats::add in part order, then pad with
+/// zero observations.
+SummaryCct summarize_oracle(const std::vector<sim::RawProfile>& ranks,
+                            const structure::StructureTree& tree) {
+  const std::vector<CanonicalCct> parts = Pipeline().correlate(ranks, tree);
+  SummaryCct out{CanonicalCct(&tree), {},
+                 static_cast<std::uint32_t>(ranks.size())};
+  for (const CanonicalCct& part : parts) {
+    const std::vector<CctNodeId> map = out.cct.merge(part);
+    out.inclusive_stats.resize(out.cct.size());
+    const std::vector<model::EventVector> incl = part.inclusive_samples();
+    for (CctNodeId src = 0; src < part.size(); ++src) {
+      auto& slot = out.inclusive_stats[map[src]];
+      for (std::size_t e = 0; e < model::kNumEvents; ++e)
+        slot[e].add(incl[src].v[e]);
+    }
+  }
+  for (auto& slot : out.inclusive_stats) {
+    for (auto& st : slot) {
+      if (st.count() < out.nranks) {
+        OnlineStats pad = OnlineStats::zeros(out.nranks - st.count());
+        pad.merge(st);
+        st = pad;
+      }
+    }
+  }
+  return out;
+}
+
+/// summarize() must match the oracle bit for bit at every thread count.
+void expect_matches_oracle(const std::vector<sim::RawProfile>& raws,
+                           const structure::StructureTree& tree) {
+  const SummaryCct want = summarize_oracle(raws, tree);
+  for (const std::uint32_t nthreads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "nthreads " << nthreads);
+    const SummaryCct got = summarize(raws, tree, nthreads);
+    EXPECT_EQ(got.nranks, want.nranks);
+    testutil::expect_identical(got.cct, want.cct);
+    ASSERT_EQ(got.inclusive_stats.size(), want.inclusive_stats.size());
+    for (CctNodeId n = 0; n < want.cct.size(); ++n) {
+      for (std::size_t e = 0; e < model::kNumEvents; ++e) {
+        const OnlineStats& a = got.inclusive_stats[n][e];
+        const OnlineStats& b = want.inclusive_stats[n][e];
+        EXPECT_EQ(a.count(), b.count()) << "node " << n << " event " << e;
+        EXPECT_EQ(a.sum(), b.sum()) << "node " << n << " event " << e;
+        EXPECT_EQ(a.mean(), b.mean()) << "node " << n << " event " << e;
+        EXPECT_EQ(a.variance(), b.variance()) << "node " << n << " event " << e;
+        EXPECT_EQ(a.min(), b.min()) << "node " << n << " event " << e;
+        EXPECT_EQ(a.max(), b.max()) << "node " << n << " event " << e;
+      }
+    }
+  }
+}
+
+std::vector<sim::RawProfile> run_ranks(const workloads::Workload& w,
+                                       std::uint32_t nranks) {
+  sim::ParallelConfig pc;
+  pc.nranks = nranks;
+  pc.base = w.run;
+  return sim::run_parallel(*w.program, *w.lowering, pc);
+}
+
+TEST(Summarize, MatchesOracleOnDivergentRanks) {
+  workloads::Workload w = workloads::make_random_program({.seed = 10});
+  const auto raws = run_ranks(w, 8);
+  // Some scopes must be absent from some ranks, so the padding path runs.
+  const std::vector<CanonicalCct> parts = Pipeline().correlate(raws, *w.tree);
+  std::size_t part_nodes = 0;
+  for (const CanonicalCct& p : parts) part_nodes += p.size();
+  ASSERT_LT(part_nodes, parts.size() * merge_serial(parts).size());
+  expect_matches_oracle(raws, *w.tree);
+}
+
+TEST(Summarize, MatchesOracleOnSpmdRanks) {
+  workloads::SubsurfaceWorkload w = workloads::make_subsurface(8);
+  expect_matches_oracle(run_ranks(w, w.nranks), *w.tree);
+}
+
+TEST(Summarize, MatchesOracleOnOneRank) {
+  workloads::Workload w = workloads::make_random_program({.seed = 11});
+  expect_matches_oracle(run_ranks(w, 1), *w.tree);
 }
 
 TEST(Summarize, RejectsEmpty) {

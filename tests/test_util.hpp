@@ -7,8 +7,27 @@
 
 #include "pathview/core/view.hpp"
 #include "pathview/metrics/attribution.hpp"
+#include "pathview/prof/cct.hpp"
 
 namespace pathview::testutil {
+
+/// Bit-identical CCT comparison: same node ids, shapes, and sample doubles.
+inline void expect_identical(const prof::CanonicalCct& a,
+                             const prof::CanonicalCct& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (prof::CctNodeId id = 0; id < a.size(); ++id) {
+    const prof::CctNode& x = a.node(id);
+    const prof::CctNode& y = b.node(id);
+    EXPECT_EQ(x.kind, y.kind) << "node " << id;
+    EXPECT_EQ(x.parent, y.parent) << "node " << id;
+    EXPECT_EQ(x.scope, y.scope) << "node " << id;
+    EXPECT_EQ(x.call_site, y.call_site) << "node " << id;
+    EXPECT_EQ(x.children, y.children) << "node " << id;
+    for (std::size_t e = 0; e < model::kNumEvents; ++e)
+      EXPECT_EQ(a.samples(id).v[e], b.samples(id).v[e])
+          << "node " << id << " event " << e;
+  }
+}
 
 /// Find the (first) child of `parent` whose label matches; fails the test
 /// and returns kViewNull when absent.

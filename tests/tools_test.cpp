@@ -596,6 +596,36 @@ TEST_F(ToolCliTest, SalvageProfilesDamagedMeasurements) {
   EXPECT_NE(slurp(out("log")).find("[DEGRADED]"), std::string::npos);
 }
 
+TEST_F(ToolCliTest, BooleanFlagsBeforePositionalsKeepThem) {
+  const std::string a = out("a.pvdb");
+  const std::string b = out("b.pvdb");
+  ASSERT_EQ(run(tool("pvprof") + " paper -o " + a), 0) << slurp(out("log"));
+  ASSERT_EQ(run(tool("pvprof") + " paper --seed 43 -o " + b), 0)
+      << slurp(out("log"));
+
+  // A boolean flag given first must not take the database path as its value.
+  ASSERT_EQ(run("printf 'quit\\n' | " + tool("pvviewer") + " --salvage " + a),
+            0)
+      << slurp(out("log"));
+  EXPECT_NE(slurp(out("log")).find("experiment '"), std::string::npos);
+
+  ASSERT_EQ(run(tool("pvquery") + " --json " + a +
+                " 'where cycles.incl > 0.1*total limit 3'"),
+            0)
+      << slurp(out("log"));
+  EXPECT_NE(slurp(out("log")).find("\"rows\""), std::string::npos);
+
+  ASSERT_EQ(run(tool("pvdiff") + " --scaling " + a + " " + b + " --top 3"), 0)
+      << slurp(out("log"));
+  EXPECT_NE(slurp(out("log")).find("union has"), std::string::npos);
+
+  // An optional value must be attached with '=', so the workload survives.
+  ASSERT_EQ(run(tool("pvprof") + " --trace-events paper -o " + out("c.pvdb")),
+            0)
+      << slurp(out("log"));
+  EXPECT_TRUE(std::filesystem::exists(out("c.pvdb.trace")));
+}
+
 TEST_F(ToolCliTest, RecoveredTraceIndexIsSurfaced) {
   ASSERT_EQ(run(tool("pvprof") + " subsurface --ranks 2 -o " +
                 out("exp.pvdb") + " --trace-events"),

@@ -9,7 +9,8 @@
 //   pvdiff runs/*.pvdb --baseline 0 --metric cycles.incl --top 20
 //   pvdiff --self-profile-dir /var/pv/profiles --json
 //
-// The legacy two-run scaling-loss analysis is kept as `pvdiff --scaling`.
+// `pvdiff --scaling <base> <scaled>` is the 2-member case: the pair's
+// supergraph plus a strong/weak SCALING LOSS column (paper Sec. VI-A).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -17,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "pathview/analysis/diff.hpp"
 #include "pathview/ensemble/ensemble.hpp"
 #include "pathview/ensemble/inputs.hpp"
 #include "pathview/query/plan.hpp"
@@ -51,7 +51,7 @@ const char kUsage[] =
     "\"result\"\n"
     "  --salvage          load damaged databases in degraded mode\n"
     "\n"
-    "scaling mode — the PR 3 pairwise strong/weak scaling-loss table:\n"
+    "scaling mode — a 2-member ensemble plus a SCALING LOSS column:\n"
     "  --event E --mode strong|weak --ranks-base N --ranks-scaled M --top "
     "N\n"
     "\n";
@@ -66,37 +66,38 @@ void print_query_error(const std::string& query_text, const ParseError& e) {
 }
 
 int run_scaling(const tools::Args& args) {
+  const bool salvage = args.has("salvage");
   db::LoadReport report;
-  const db::Experiment base =
-      tools::load_experiment(args.positional[0], args.has("salvage"), &report);
-  const db::Experiment scaled =
-      tools::load_experiment(args.positional[1], args.has("salvage"), &report);
+  const auto base = std::make_shared<const db::Experiment>(
+      tools::load_experiment(args.positional[0], salvage, &report));
+  const auto scaled = std::make_shared<const db::Experiment>(
+      tools::load_experiment(args.positional[1], salvage, &report));
   tools::print_load_report("pvdiff", report);
 
-  analysis::DiffOptions opts;
-  opts.event = tools::parse_event(args.flag_str("event", "cycles"));
-  const std::string mode = args.flag_str("mode", "strong");
-  if (mode == "weak")
-    opts.mode = metrics::ScalingMode::kWeak;
-  else if (mode != "strong")
+  const model::Event event =
+      tools::parse_event(args.flag_str("event", "cycles"));
+  metrics::ScalingMode mode = metrics::ScalingMode::kStrong;
+  const std::string mode_name = args.flag_str("mode", "strong");
+  if (mode_name == "weak")
+    mode = metrics::ScalingMode::kWeak;
+  else if (mode_name != "strong")
     throw InvalidArgument("bad --mode (strong|weak)");
-  opts.p_base = static_cast<double>(args.flag("ranks-base", base.nranks()));
-  opts.p_scaled =
-      static_cast<double>(args.flag("ranks-scaled", scaled.nranks()));
-
-  const analysis::ExperimentDiff d =
-      analysis::diff_experiments(base, scaled, opts);
-  const prof::CanonicalCct& u = *d.cct;
+  const ensemble::ScalingDiff d = ensemble::scaling_diff(
+      base, scaled, event,
+      static_cast<double>(args.flag("ranks-base", base->nranks())),
+      static_cast<double>(args.flag("ranks-scaled", scaled->nranks())), mode);
+  const prof::CanonicalCct& u = d.cct();
+  const metrics::MetricTable& t = d.table();
 
   std::printf("base '%s' (%zu scopes) vs scaled '%s' (%zu scopes); union "
               "has %zu scopes\n",
-              base.name().c_str(), base.cct().size(), scaled.name().c_str(),
-              scaled.cct().size(), u.size());
+              base->name().c_str(), base->cct().size(), scaled->name().c_str(),
+              scaled->cct().size(), u.size());
   std::printf("root %s: base %s, scaled %s, loss %s\n\n",
-              model::event_name(opts.event),
-              format_scientific(d.table.get(d.base_col, 0)).c_str(),
-              format_scientific(d.table.get(d.scaled_col, 0)).c_str(),
-              format_scientific(d.table.get(d.loss_col, 0)).c_str());
+              model::event_name(event),
+              format_scientific(t.get(d.base_col, 0)).c_str(),
+              format_scientific(t.get(d.scaled_col, 0)).c_str(),
+              format_scientific(t.get(d.loss_col, 0)).c_str());
 
   // Frames ranked by loss.
   struct Row {
@@ -107,7 +108,7 @@ int run_scaling(const tools::Args& args) {
   for (prof::CctNodeId n = 1; n < u.size(); ++n)
     if (u.node(n).kind == prof::CctKind::kFrame ||
         u.node(n).kind == prof::CctKind::kLoop)
-      rows.push_back(Row{n, d.table.get(d.loss_col, n)});
+      rows.push_back(Row{n, t.get(d.loss_col, n)});
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.loss > b.loss; });
   const auto top = static_cast<std::size_t>(args.flag("top", 10));
@@ -116,8 +117,8 @@ int run_scaling(const tools::Args& args) {
   for (std::size_t i = 0; i < rows.size() && i < top; ++i) {
     const Row& r = rows[i];
     std::printf("%-52s %14s %14s %14s\n", u.label(r.node).c_str(),
-                format_scientific(d.table.get(d.base_col, r.node)).c_str(),
-                format_scientific(d.table.get(d.scaled_col, r.node)).c_str(),
+                format_scientific(t.get(d.base_col, r.node)).c_str(),
+                format_scientific(t.get(d.scaled_col, r.node)).c_str(),
                 format_scientific(r.loss).c_str());
   }
   return 0;
@@ -231,15 +232,11 @@ int run_ensemble(const tools::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  tools::Args args(argc, argv);
+  tools::Args args(argc, argv, {"salvage", "json", "scaling"});
   int exit_code = 0;
   if (tools::handle_common_flags(args, "pvdiff", kUsage, &exit_code))
     return exit_code;
   const bool scaling = args.has("scaling");
-  // `--scaling <base> <scaled>`: the parser attaches <base> to the flag
-  // (any flag greedily takes the next non-dash token); hand it back.
-  if (const std::string v = args.flag_str("scaling", ""); !v.empty())
-    args.positional.insert(args.positional.begin(), v);
   if (scaling && args.positional.size() != 2)
     return tools::usage_error(kUsage);
   if (!scaling && args.positional.empty() && !args.has("self-profile-dir"))

@@ -57,7 +57,7 @@ std::uint64_t convert_trace(const db::TraceReader& raw,
 }  // namespace
 
 int main(int argc, char** argv) {
-  tools::Args args(argc, argv);
+  tools::Args args(argc, argv, {"salvage", "trace-events"});
   int exit_code = 0;
   if (tools::handle_common_flags(args, "pvprof", kUsage, &exit_code))
     return exit_code;

@@ -38,7 +38,7 @@ const char kUsage[] =
     "  order by <m> [asc|desc] sort key (default desc; ties by node id)\n"
     "  limit N                 keep the first N rows\n"
     "\n"
-    "flags (give them after the query string):\n"
+    "flags:\n"
     "  --explain          print the compiled plan, don't execute\n"
     "  --json             emit the result as canonical JSON (byte-identical\n"
     "                     to the pvserve query op's \"result\" field)\n"
@@ -57,7 +57,7 @@ void print_query_error(const std::string& query_text, const ParseError& e) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  tools::Args args(argc, argv);
+  tools::Args args(argc, argv, {"salvage", "explain", "json"});
   int exit_code = 0;
   if (tools::handle_common_flags(args, "pvquery", kUsage, &exit_code))
     return exit_code;

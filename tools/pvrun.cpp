@@ -39,7 +39,7 @@ std::string usage_text() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  tools::Args args(argc, argv);
+  tools::Args args(argc, argv, {"trace-events"});
   int exit_code = 0;
   if (tools::handle_common_flags(args, "pvrun", usage_text(), &exit_code))
     return exit_code;

@@ -315,7 +315,7 @@ int run_supervised(const pathview::tools::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace pathview;
-  tools::Args args(argc, argv);
+  tools::Args args(argc, argv, {"auto-resume", "client", "supervise"});
   int exit_code = 0;
   if (tools::handle_common_flags(args, "pvserve", kUsage, &exit_code))
     return exit_code;

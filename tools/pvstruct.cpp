@@ -19,7 +19,7 @@ const char kUsage[] =
 }  // namespace
 
 int main(int argc, char** argv) {
-  tools::Args args(argc, argv);
+  tools::Args args(argc, argv, {"addresses", "no-statements"});
   int exit_code = 0;
   if (tools::handle_common_flags(args, "pvstruct", kUsage, &exit_code))
     return exit_code;

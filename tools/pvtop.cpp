@@ -393,7 +393,7 @@ int run(const pathview::tools::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace pathview;
-  tools::Args args(argc, argv);
+  tools::Args args(argc, argv, {"once", "no-ansi"});
   int exit_code = 0;
   if (tools::handle_common_flags(args, "pvtop", kUsage, &exit_code))
     return exit_code;

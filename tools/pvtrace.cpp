@@ -43,7 +43,7 @@ const char kUsage[] =
 }  // namespace
 
 int main(int argc, char** argv) {
-  tools::Args args(argc, argv);
+  tools::Args args(argc, argv, {"ansi", "no-legend", "stats", "phases"});
   int exit_code = 0;
   if (tools::handle_common_flags(args, "pvtrace", kUsage, &exit_code))
     return exit_code;

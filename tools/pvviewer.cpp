@@ -36,7 +36,7 @@ const char kUsage[] =
 }  // namespace
 
 int main(int argc, char** argv) {
-  tools::Args args(argc, argv);
+  tools::Args args(argc, argv, {"salvage", "timeline"});
   int exit_code = 0;
   if (tools::handle_common_flags(args, "pvviewer", kUsage, &exit_code))
     return exit_code;

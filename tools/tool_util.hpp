@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pathview/db/experiment.hpp"
@@ -41,9 +43,21 @@ inline constexpr const char* kCommonUsage =
     "  --version                  print version and exit\n"
     "  --help                     print usage and exit\n";
 
-/// `--name value` / `--name=value` flags plus positional arguments.
+/// `--name value` / `--name=value` flags plus positional arguments. The
+/// tool's standalone flags (booleans, and flags whose optional value must
+/// be attached with `=`), plus the common --pv-stats / --help / -h /
+/// --version, never take the next token as their value, so
+/// `pvviewer --salvage exp.pvdb` keeps its database positional.
 struct Args {
-  Args(int argc, char** argv) {
+  Args(int argc, char** argv,
+       std::initializer_list<std::string_view> standalone = {}) {
+    const auto is_standalone = [&](std::string_view name) {
+      for (const std::string_view b : {"pv-stats", "help", "h", "version"})
+        if (name == b) return true;
+      for (const std::string_view b : standalone)
+        if (name == b) return true;
+      return false;
+    };
     for (int i = 1; i < argc; ++i) {
       std::string a = argv[i];
       if (!a.empty() && a[0] == '-' && a != "-") {
@@ -51,7 +65,8 @@ struct Args {
         const std::size_t eq = a.find('=');
         if (eq != std::string::npos) {
           flags.emplace_back(a.substr(0, eq), a.substr(eq + 1));
-        } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+        } else if (i + 1 < argc && argv[i + 1][0] != '-' &&
+                   !is_standalone(a)) {
           flags.emplace_back(a, argv[++i]);
         } else {
           flags.emplace_back(a, "");
