@@ -7,8 +7,10 @@
 //     the redesign) by >= 5x;
 //   - the end-to-end "top 20 regressing paths" query — parse, compile,
 //     match, filter, sort, limit — must finish under 100 ms.
-// Also checks byte-determinism (two executions, identical rows) and writes
-// BENCH_query_scaling.json on the pathview-bench-v2 schema.
+// Also checks byte-determinism (two executions, identical rows), reports
+// (ungated) the time of each browse-workload query text and of a metric sort
+// of the whole CCT view, and writes BENCH_query_scaling.json on the
+// pathview-bench-v2 schema.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -16,6 +18,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "pathview/core/cct_view.hpp"
+#include "pathview/core/sort.hpp"
 #include "pathview/metrics/attribution.hpp"
 #include "pathview/prof/pipeline.hpp"
 #include "pathview/query/plan.hpp"
@@ -150,6 +154,31 @@ int main(int argc, char** argv) {
   rep.gate_max("top-20 query end-to-end [ms]", e2e_s * 1e3, 100.0);
   rep.row("top-20 query is deterministic", 1,
           same_rows(once, run_top20()) ? 1 : 0, 0);
+
+  // --- the browse kernels (report only) -----------------------------------
+  // The four query texts pvbench's browse workload sends, parse + compile +
+  // execute each, and a metric sort of every child list in the CCT view:
+  // the kernels behind the serve `query` and `sort` ops, timed in process.
+  const char* const browse_queries[] = {
+      "match '**' where cycles.incl > 0.01*total "
+      "order by cycles.excl desc limit 20",
+      "match '**/p1*' order by cycles.incl desc limit 10",
+      "where flops.excl > 0.001*total order by flops.excl desc limit 20",
+      "select count(*), sum(cycles.excl) where cycles.excl > 0",
+  };
+  for (const char* text : browse_queries) {
+    const double s = best_of(kReps, [&] { query::run(text, cct, attr.table); });
+    rep.info(std::string("browse query [ms]: ") + text, s * 1e3);
+  }
+  core::CctView view(cct, attr);
+  const metrics::ColumnId excl = attr.cols.exclusive(model::Event::kCycles);
+  bool desc = true;
+  const double sort_s = best_of(kReps, [&] {
+    // Alternate column and direction so every rep reorders the lists.
+    core::sort_built_by(view, desc ? incl : excl, desc);
+    desc = !desc;
+  });
+  rep.info("sort_built_by on the CCT view [ms]", sort_s * 1e3);
 
   rep.write_json("BENCH_query_scaling.json");
   return rep.exit_code();

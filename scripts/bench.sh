@@ -26,7 +26,7 @@ export PATHVIEW_BENCH_JSON="$ROOT"
 BENCHES="fig2_three_views fig3_hotpath_cct fig4_callers_view
 fig5_flat_inlining fig6_derived_metrics fig7_load_imbalance
 ablation_scaling merge_scaling trace_scaling serve_scaling query_scaling
-fault_recovery ensemble_scaling"
+fault_recovery ensemble_scaling chaos_recovery"
 
 failed=0
 failed_names=""

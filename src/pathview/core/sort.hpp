@@ -9,7 +9,12 @@
 
 namespace pathview::core {
 
-/// Sort `parent`'s (already built) children by a metric column.
+/// Child lists up to this length are sorted by an allocation-free insertion
+/// sort; longer ones by std::stable_sort. Both are stable.
+inline constexpr std::size_t kInsertionSortMax = 32;
+
+/// Sort `parent`'s (already built) children by a metric column. Stable:
+/// equal values keep their current relative order.
 void sort_children_by(View& view, ViewNodeId parent, metrics::ColumnId metric,
                       bool descending = true);
 

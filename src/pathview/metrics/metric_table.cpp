@@ -2,8 +2,6 @@
 
 #include <numeric>
 
-#include "pathview/support/error.hpp"
-
 namespace pathview::metrics {
 
 ColumnId MetricTable::add_column(MetricDesc desc) {
@@ -40,18 +38,6 @@ std::optional<ColumnId> MetricTable::find(std::string_view name) const {
   const auto it = by_name_.find(*id);
   if (it == by_name_.end()) return std::nullopt;
   return it->second;
-}
-
-void MetricTable::gather(ColumnId c, std::span<const RowId> rows,
-                         std::span<double> out) const {
-  if (rows.size() != out.size())
-    throw InvalidArgument("MetricTable::gather: rows/out size mismatch");
-  const double* v = cols_[c].values.data();
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i] >= nrows_)
-      throw InvalidArgument("MetricTable::gather: row out of range");
-    out[i] = v[rows[i]];
-  }
 }
 
 }  // namespace pathview::metrics

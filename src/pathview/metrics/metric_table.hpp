@@ -10,8 +10,9 @@
 // doubles, so a predicate scan or a sort-key read touches exactly one
 // column's memory instead of striding across rows. Column names are interned
 // in a StringTable (NameId) so lookups compare one integer and repeated
-// names across tables share storage. Bulk primitives (add_rows, scan,
-// gather) are the substrate for pathview::query's plan operators.
+// names across tables share storage. Bulk primitives (add_rows, scan and
+// the column() spans) are the substrate for pathview::query's plan
+// operators.
 #pragma once
 
 #include <cstdint>
@@ -99,11 +100,6 @@ class MetricTable {
     }
     return matched;
   }
-
-  /// Copy column c's values at `rows` into `out` (parallel arrays;
-  /// out.size() must equal rows.size()).
-  void gather(ColumnId c, std::span<const RowId> rows,
-              std::span<double> out) const;
 
   /// Degraded-data marker: the values in this table were computed from an
   /// incomplete measurement (see prof::CanonicalCct::degraded). Attribution

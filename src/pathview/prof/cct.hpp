@@ -7,6 +7,14 @@
 // according to the structure tree. Raw sample counts live on statement
 // scopes; all metric attribution (inclusive/exclusive, Eq. 1 & 2) is done by
 // pathview::metrics on top of this tree.
+//
+// Id invariant: every non-root node's parent id is smaller than its own id
+// (the root is 0). Nodes are only ever appended under an existing parent, so
+// every construction path — correlation, Pipeline merges, database loads,
+// the ensemble supergraph — preserves it. Ascending id order is therefore a
+// topological (parents-first) order: inclusive_samples() sums bottom-up by a
+// reverse sweep, core::CctView mirrors the tree id for id, and the query
+// matcher carries pattern state down the tree in one forward pass.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +42,7 @@ inline constexpr CctNodeId kCctNull = 0xffffffffu;
 
 struct CctNode {
   CctKind kind = CctKind::kRoot;
+  /// kCctNull for the root; otherwise always smaller than this node's id.
   CctNodeId parent = kCctNull;
   /// The structure-tree scope this node represents (proc scope for frames).
   structure::SNodeId scope = structure::kSNull;

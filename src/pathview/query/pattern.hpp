@@ -7,9 +7,10 @@
 //   **/psm2_recv             any path ending in psm2_recv
 //
 // A pattern compiles to a tiny NFA whose state set fits one 64-bit word
-// (state i = "the first i segments are matched"); matching a whole CCT is a
-// single DFS carrying state sets down the tree, with subtrees pruned as
-// soon as their state set goes empty. Recursive chains work naturally:
+// (state i = "the first i segments are matched"); matching a whole CCT is
+// one pass over node ids carrying state sets from parent to child, with
+// subtrees pruned as soon as their state set goes empty. advance() is a
+// pure function of (state set, name). Recursive chains work naturally:
 // 'a/**/a' needs two distinct frames named a on the path.
 #pragma once
 

@@ -2,8 +2,8 @@
 #include "pathview/query/plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "pathview/model/program.hpp"
@@ -345,28 +345,44 @@ std::string path_of(const CanonicalCct& cct, CctNodeId id) {
 }  // namespace
 
 std::vector<CctNodeId> Plan::match_candidates(QueryStats& stats) const {
-  // DFS carrying NFA state sets; only frame-like nodes consume a segment,
-  // and only they can match. A subtree is pruned the moment its state set
-  // goes empty — for anchored patterns (no leading '**') this skips most of
-  // the tree.
+  // One ascending pass over node ids carrying NFA state sets down the tree:
+  // a parent's id is always smaller than its children's (prof/cct.hpp), so
+  // st[parent] is final before any child reads it. Only frame-like nodes
+  // consume a segment, and only they can match. A node whose incoming state
+  // set is empty lies in a pruned subtree and is skipped — for anchored
+  // patterns (no leading '**') that is most of the tree. nodes_visited
+  // counts the root plus every node with a live incoming state, the same
+  // nodes a pruning DFS would visit.
+  using StateSet = PatternMatcher::StateSet;
   const PatternMatcher m(pattern_);
+  const structure::StructureTree& tree = cct_->tree();
+  // advance() depends only on (state, name) and the name only on the scope,
+  // so each frame scope remembers its last (input, output) pair. Live input
+  // states are never 0, which marks an empty slot.
+  std::vector<std::pair<StateSet, StateSet>> memo(tree.size(), {0, 0});
+  std::vector<StateSet> st(cct_->size(), 0);  // outgoing state per node
   std::vector<CctNodeId> out;
-  std::vector<std::pair<CctNodeId, PatternMatcher::StateSet>> stack;
-  stack.emplace_back(prof::kCctRoot, m.initial());
-  while (!stack.empty()) {
-    const auto [id, state] = stack.back();
-    stack.pop_back();
-    ++stats.nodes_visited;
-    PatternMatcher::StateSet s = state;
+  for (CctNodeId id = 0; id < cct_->size(); ++id) {
     const prof::CctNode& n = cct_->node(id);
+    const StateSet in = id == prof::kCctRoot ? m.initial() : st[n.parent];
+    if (!m.can_continue(in)) continue;
+    ++stats.nodes_visited;
+    StateSet s = in;
     if (is_frame(n.kind)) {
-      s = m.advance(s, cct_->tree().name_of(n.scope));
+      if (n.scope == structure::kSNull) {
+        s = m.advance(in, tree.name_of(n.scope));
+      } else {
+        auto& [last_in, last_out] = memo[n.scope];
+        if (last_in != in) {
+          last_in = in;
+          last_out = m.advance(in, tree.name_of(n.scope));
+        }
+        s = last_out;
+      }
       if (m.accepting(s)) out.push_back(id);
-      if (!m.can_continue(s)) continue;
     }
-    for (const CctNodeId child : n.children) stack.emplace_back(child, s);
+    st[id] = s;
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -454,29 +470,37 @@ QueryResult Plan::execute() const {
     }
     res.rows.push_back(std::move(row));
   } else {
+    const bool cut = q_.limit > 0 && matched.size() > q_.limit;
     if (order_col_ && matched.size() > 1) {
-      std::vector<double> keys(matched.size());
-      table_->gather(*order_col_, matched, keys);
-      std::vector<std::size_t> idx(matched.size());
-      std::iota(idx.begin(), idx.end(), std::size_t{0});
-      // stable_sort on the key only: input is node-id ascending, so equal
-      // keys keep smaller node ids first — byte-deterministic output.
-      if (q_.order_desc)
-        std::stable_sort(idx.begin(), idx.end(),
-                         [&](std::size_t a, std::size_t b) {
-                           return keys[a] > keys[b];
-                         });
-      else
-        std::stable_sort(idx.begin(), idx.end(),
-                         [&](std::size_t a, std::size_t b) {
-                           return keys[a] < keys[b];
-                         });
-      std::vector<RowId> reordered(matched.size());
-      for (std::size_t i = 0; i < idx.size(); ++i)
-        reordered[i] = matched[idx[i]];
-      matched = std::move(reordered);
+      // Sort on (key, row id): the input is row-id ascending, so this total
+      // order is exactly a stable sort on the key (equal keys keep smaller
+      // node ids first), and with a limit only the top rows need ordering.
+      // Descending negates the key, which is exact. NaN maps to +inf, so the
+      // comparator stays a strict weak order and NaN rows sort last either
+      // way (tied, by node id, with +inf ascending or -inf descending).
+      const std::span<const double> col = table_->column(*order_col_);
+      std::vector<std::pair<double, RowId>> keyed(matched.size());
+      for (std::size_t i = 0; i < matched.size(); ++i) {
+        const double v = col[matched[i]];
+        keyed[i] = {std::isnan(v) ? std::numeric_limits<double>::infinity()
+                    : q_.order_desc ? -v
+                                    : v,
+                    matched[i]};
+      }
+      if (cut) {
+        std::partial_sort(keyed.begin(),
+                          keyed.begin() + static_cast<std::ptrdiff_t>(q_.limit),
+                          keyed.end());
+        keyed.resize(q_.limit);
+      } else {
+        std::sort(keyed.begin(), keyed.end());
+      }
+      matched.resize(keyed.size());
+      for (std::size_t i = 0; i < matched.size(); ++i)
+        matched[i] = keyed[i].second;
+    } else if (cut) {
+      matched.resize(q_.limit);
     }
-    if (q_.limit > 0 && matched.size() > q_.limit) matched.resize(q_.limit);
     res.rows.reserve(matched.size());
     for (const RowId r : matched) {
       ResultRow row;

@@ -5,16 +5,19 @@
 // flattens the predicate tree into a postfix program, and picks an
 // execution strategy:
 //
-//   match      DFS of the CCT carrying PatternMatcher state sets, pruning
-//              subtrees whose state set goes empty (skipped when the
-//              pattern is empty — every row is a candidate);
+//   match      one ascending-id pass over the CCT carrying PatternMatcher
+//              state sets from parent to child (parents have smaller
+//              ids), skipping nodes whose incoming state set is empty
+//              (the step is skipped when the pattern is empty — every row
+//              is a candidate; explain() labels it "nfa dfs");
 //   filter     either MetricTable::scan over one contiguous column (the
 //              columnar fast path, taken when there is no pattern and the
 //              predicate is a single comparison of one metric against a
 //              constant-folded bound) or per-candidate program evaluation;
 //   aggregate/ project the select list over the surviving rows;
 //   sort       by the order-by column (ties break toward smaller node ids,
-//              so results are deterministic);
+//              so results are deterministic; NaN keys sort last); with a
+//              limit only the first N rows are ordered;
 //   limit      keep the first N rows.
 //
 // explain() prints exactly this plan, one operator per line, in execution
@@ -36,7 +39,9 @@
 namespace pathview::query {
 
 struct QueryStats {
-  std::uint64_t nodes_visited = 0;  // CCT nodes walked by the matcher
+  // CCT nodes the matcher reached: the root plus every node whose parent's
+  // state set is non-empty (what a pruning depth-first walk visits).
+  std::uint64_t nodes_visited = 0;
   std::uint64_t rows_scanned = 0;   // rows the filter evaluated
   std::uint64_t rows_matched = 0;   // rows surviving match + filter
 };

@@ -6,11 +6,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 
 #include "pathview/db/experiment.hpp"
 #include "pathview/db/xml.hpp"
+#include "pathview/ensemble/ensemble.hpp"
 #include "pathview/prof/correlate.hpp"
+#include "pathview/prof/pipeline.hpp"
 #include "pathview/sim/engine.hpp"
+#include "pathview/sim/parallel_runner.hpp"
 #include "pathview/workloads/paper_example.hpp"
 #include "pathview/workloads/random_program.hpp"
 
@@ -145,6 +150,59 @@ TEST_P(DbRoundTrip, XmlAndBinary) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DbRoundTrip,
                          ::testing::Values(101, 202, 303, 404, 505));
+
+// --- the CCT id invariant (prof/cct.hpp) -------------------------------------
+
+/// Every non-root node's parent has a smaller id, and parent pointers and
+/// child lists describe the same tree.
+void expect_parents_precede_children(const prof::CanonicalCct& cct) {
+  ASSERT_GT(cct.size(), 1u);
+  EXPECT_EQ(cct.node(prof::kCctRoot).parent, prof::kCctNull);
+  std::size_t edges = 0;
+  for (prof::CctNodeId id = 0; id < cct.size(); ++id) {
+    for (const prof::CctNodeId c : cct.node(id).children) {
+      ASSERT_LT(c, cct.size());
+      EXPECT_EQ(cct.node(c).parent, id) << "child " << c;
+    }
+    edges += cct.node(id).children.size();
+    if (id != prof::kCctRoot) {
+      EXPECT_LT(cct.node(id).parent, id) << "node " << id;
+    }
+  }
+  EXPECT_EQ(edges, cct.size() - 1);
+}
+
+TEST(CctIdInvariant, ParentsPrecedeChildrenOnEveryConstructionPath) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "pathview_cct_id_invariant";
+  std::filesystem::create_directories(dir);
+  std::vector<std::shared_ptr<const Experiment>> members;
+  for (const std::uint64_t seed : {3ull, 4ull}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    workloads::Workload w = workloads::make_random_program({.seed = seed});
+    sim::ParallelConfig pc;
+    pc.nranks = 4;
+    pc.base = w.run;
+    const auto raws = sim::run_parallel(*w.program, *w.lowering, pc);
+    const prof::CanonicalCct merged = prof::Pipeline().run(raws, *w.tree);
+    expect_parents_precede_children(merged);
+    expect_parents_precede_children(
+        prof::merge_serial(prof::Pipeline().correlate(raws, *w.tree)));
+
+    const std::string name = "seed" + std::to_string(seed);
+    const Experiment exp = Experiment::capture(*w.tree, merged, name, 4);
+    const std::string bin = (dir / (name + ".pvdb")).string();
+    const std::string xml = (dir / (name + ".xml")).string();
+    save_binary(exp, bin);  // PVDB2
+    save_xml(exp, xml);
+    expect_parents_precede_children(open(bin).experiment.cct());
+    expect_parents_precede_children(open(xml).experiment.cct());
+    members.push_back(std::make_shared<const Experiment>(open(bin).experiment));
+  }
+  // Two different programs: the supergraph unions two structure trees.
+  expect_parents_precede_children(ensemble::Ensemble::align(members).cct());
+  std::filesystem::remove_all(dir);
+}
 
 // --- robustness: corrupt and truncated inputs must fail with typed errors,
 // never crash -----------------------------------------------------------------

@@ -155,23 +155,6 @@ TEST(MetricTable, ScanMatchesTheNaiveRowLoop) {
     EXPECT_EQ(vals[i], t.get(c, got[i]));
 }
 
-TEST(MetricTable, GatherCopiesRowsAndChecksBounds) {
-  MetricTable t;
-  const ColumnId c = t.add_column(
-      MetricDesc{"c", MetricKind::kRaw, Event::kCycles, true, {}});
-  t.ensure_rows(5);
-  for (std::size_t r = 0; r < 5; ++r) t.set(c, r, static_cast<double>(r * r));
-  const std::vector<RowId> rows{4, 0, 2};
-  std::vector<double> out(3);
-  t.gather(c, rows, out);
-  EXPECT_EQ(out, (std::vector<double>{16.0, 0.0, 4.0}));
-  std::vector<double> wrong_size(2);
-  EXPECT_THROW(t.gather(c, rows, wrong_size), InvalidArgument);
-  const std::vector<RowId> oob{1, 9};
-  std::vector<double> out2(2);
-  EXPECT_THROW(t.gather(c, oob, out2), InvalidArgument);
-}
-
 TEST(MetricTable, AddRowsAppendsZeroFilled) {
   MetricTable t;
   const ColumnId c = t.add_column(

@@ -1,20 +1,30 @@
 // Golden tests for pathview::query: the text grammar (including byte-offset
 // diagnostics), call-path pattern matching (recursion, '**'), predicate
 // compilation (total folding, the columnar fast path), and deterministic
-// ordering of results.
+// ordering of results. A differential oracle (a pruning DFS matcher and a
+// stable sort on the key alone) checks whole results on random programs and
+// a 64-rank divergent union.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pathview/metrics/attribution.hpp"
 #include "pathview/prof/correlate.hpp"
+#include "pathview/prof/pipeline.hpp"
 #include "pathview/query/pattern.hpp"
 #include "pathview/query/plan.hpp"
 #include "pathview/query/query.hpp"
+#include "pathview/sim/parallel_runner.hpp"
 #include "pathview/support/error.hpp"
 #include "pathview/workloads/paper_example.hpp"
+#include "pathview/workloads/random_program.hpp"
 
 namespace pathview::query {
 namespace {
@@ -430,6 +440,290 @@ TEST(QueryPlan, BuilderAndTextCompileToTheSameResult) {
   ASSERT_EQ(a.rows.size(), b.rows.size());
   for (std::size_t i = 0; i < a.rows.size(); ++i)
     EXPECT_EQ(a.rows[i].node, b.rows[i].node);
+}
+
+TEST(QueryPlan, NaNOrderKeysSortLastInNodeOrder) {
+  PlanFixture f;
+  metrics::MetricTable table = f.attr.table;
+  metrics::MetricDesc desc;
+  desc.name = "spiky";
+  const metrics::ColumnId c = table.add_column(desc);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t r = 0; r < table.num_rows(); ++r)
+    table.set(c, r, r % 3 == 1 ? nan : static_cast<double>(r % 4));
+  for (const char* dir : {"desc", "asc"}) {
+    SCOPED_TRACE(dir);
+    const QueryResult res =
+        query::run(std::string("order by spiky ") + dir, f.cct, table);
+    ASSERT_EQ(res.rows.size(), table.num_rows());
+    std::size_t first_nan = res.rows.size();
+    for (std::size_t i = 0; i < res.rows.size(); ++i) {
+      if (std::isnan(res.rows[i].values[0]))
+        first_nan = std::min(first_nan, i);
+      else
+        EXPECT_EQ(first_nan, res.rows.size()) << "number after a NaN at " << i;
+    }
+    for (std::size_t i = 1; i < res.rows.size(); ++i) {
+      const double a = res.rows[i - 1].values[0], b = res.rows[i].values[0];
+      if (std::isnan(a) || std::isnan(b)) {
+        if (std::isnan(a) && std::isnan(b)) {
+          EXPECT_LT(res.rows[i - 1].node, res.rows[i].node);
+        }
+        continue;
+      }
+      EXPECT_TRUE(dir[0] == 'd' ? a >= b : a <= b);
+      if (a == b) {
+        EXPECT_LT(res.rows[i - 1].node, res.rows[i].node);
+      }
+    }
+    const QueryResult top =
+        query::run(std::string("order by spiky ") + dir + " limit 4", f.cct,
+                   table);
+    ASSERT_EQ(top.rows.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i)
+      EXPECT_EQ(top.rows[i].node, res.rows[i].node);
+  }
+}
+
+// --- differential oracle ----------------------------------------------------
+
+/// The matcher Plan::execute used before its single ascending-id pass, kept
+/// as an oracle: a DFS carrying NFA state sets, pruning a subtree the moment
+/// its state set goes empty, then sorting the candidates by node id.
+std::vector<prof::CctNodeId> dfs_candidates(const PathPattern& pattern,
+                                            const prof::CanonicalCct& cct,
+                                            std::uint64_t& nodes_visited) {
+  const PatternMatcher m(pattern);
+  std::vector<prof::CctNodeId> out;
+  std::vector<std::pair<prof::CctNodeId, PatternMatcher::StateSet>> stack;
+  stack.emplace_back(prof::kCctRoot, m.initial());
+  while (!stack.empty()) {
+    const auto [id, state] = stack.back();
+    stack.pop_back();
+    ++nodes_visited;
+    PatternMatcher::StateSet s = state;
+    const prof::CctNode& n = cct.node(id);
+    if (n.kind == prof::CctKind::kFrame || n.kind == prof::CctKind::kInline) {
+      s = m.advance(s, cct.tree().name_of(n.scope));
+      if (m.accepting(s)) out.push_back(id);
+      if (!m.can_continue(s)) continue;
+    }
+    for (const prof::CctNodeId child : n.children) stack.emplace_back(child, s);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Plan::execute as it was before the single-pass matcher and the (key, id)
+/// sort: dfs_candidates, then a stable sort on the order-by key alone, then
+/// the limit. Filtering and projection are not under test, so they come from
+/// a plan with no pattern, order or limit over every row (node order), which
+/// projects the query's columns plus the order-by key. Those base results
+/// do not depend on the pattern, so `bases` caches them by query text.
+QueryResult oracle_run(const std::string& text, const prof::CanonicalCct& cct,
+                       const metrics::MetricTable& table,
+                       std::map<std::string, QueryResult>& bases) {
+  using Agg = SelectItem::Agg;
+  const Query q = parse(text);
+  const bool aggregate = !q.select.empty() && q.select[0].agg != Agg::kNone;
+  // The column headers (compile's defaulted select list) of the real plan;
+  // limit 1 keeps this probe cheap without changing them.
+  Query probe = parse(text);
+  probe.limit = 1;
+  const std::vector<std::string> columns =
+      compile(std::move(probe), cct, table).execute().columns;
+
+  Query base = parse(text);
+  base.pattern.clear();
+  base.order_by.clear();
+  base.limit = 0;
+  base.select.clear();
+  for (const std::string& name : columns)
+    base.select.push_back({Agg::kNone, name, name});
+  if (aggregate) {
+    base.select.clear();
+    for (const SelectItem& s : q.select)
+      if (s.agg != Agg::kCount)
+        base.select.push_back({Agg::kNone, s.metric, s.metric});
+  } else if (!q.select.empty()) {
+    base.select = q.select;
+  }
+  const bool ordered = !aggregate && !q.order_by.empty();
+  if (ordered) base.select.push_back({Agg::kNone, q.order_by, q.order_by});
+  const std::string base_text = to_text(base);
+  auto [it, fresh] = bases.try_emplace(base_text);
+  if (fresh) it->second = compile(std::move(base), cct, table).execute();
+  const QueryResult& all = it->second;
+
+  QueryResult res;
+  res.columns = columns;
+  std::vector<const ResultRow*> matched;
+  if (q.pattern.empty()) {
+    res.stats.rows_scanned = all.stats.rows_scanned;
+    for (const ResultRow& r : all.rows) matched.push_back(&r);
+  } else {
+    std::size_t at = 0;  // all.rows is node-id ascending, as are candidates
+    const std::vector<prof::CctNodeId> cands = dfs_candidates(
+        parse_pattern(q.pattern), cct, res.stats.nodes_visited);
+    for (const prof::CctNodeId id : cands) {
+      if (id >= table.num_rows()) continue;
+      if (q.where) ++res.stats.rows_scanned;
+      while (at < all.rows.size() && all.rows[at].node < id) ++at;
+      if (at < all.rows.size() && all.rows[at].node == id)
+        matched.push_back(&all.rows[at]);
+    }
+  }
+  res.stats.rows_matched = matched.size();
+
+  if (aggregate) {
+    ResultRow row;
+    std::size_t k = 0;  // next column of the base projection
+    for (const SelectItem& s : q.select) {
+      if (s.agg == Agg::kCount) {
+        row.values.push_back(static_cast<double>(matched.size()));
+        continue;
+      }
+      const std::size_t c = k++;
+      double acc = 0.0;
+      if (!matched.empty()) {
+        if (s.agg == Agg::kMin) {
+          acc = std::numeric_limits<double>::infinity();
+          for (const ResultRow* r : matched) acc = std::min(acc, r->values[c]);
+        } else if (s.agg == Agg::kMax) {
+          acc = -std::numeric_limits<double>::infinity();
+          for (const ResultRow* r : matched) acc = std::max(acc, r->values[c]);
+        } else {
+          for (const ResultRow* r : matched) acc += r->values[c];
+          if (s.agg == Agg::kMean) acc /= static_cast<double>(matched.size());
+        }
+      }
+      row.values.push_back(acc);
+    }
+    res.rows.push_back(std::move(row));
+    return res;
+  }
+
+  if (ordered && matched.size() > 1) {
+    std::vector<double> keys;
+    for (const ResultRow* r : matched) keys.push_back(r->values.back());
+    std::vector<std::size_t> idx(matched.size());
+    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    if (q.order_desc)
+      std::stable_sort(idx.begin(), idx.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return keys[a] > keys[b];
+                       });
+    else
+      std::stable_sort(idx.begin(), idx.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return keys[a] < keys[b];
+                       });
+    std::vector<const ResultRow*> reordered;
+    for (const std::size_t i : idx) reordered.push_back(matched[i]);
+    matched = std::move(reordered);
+  }
+  if (q.limit > 0 && matched.size() > q.limit) matched.resize(q.limit);
+  for (const ResultRow* r : matched) {
+    ResultRow row = *r;
+    if (ordered) row.values.pop_back();
+    res.rows.push_back(std::move(row));
+  }
+  return res;
+}
+
+void expect_same_result(const QueryResult& got, const QueryResult& want) {
+  EXPECT_EQ(got.columns, want.columns);
+  EXPECT_EQ(got.stats.nodes_visited, want.stats.nodes_visited);
+  EXPECT_EQ(got.stats.rows_scanned, want.stats.rows_scanned);
+  EXPECT_EQ(got.stats.rows_matched, want.stats.rows_matched);
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (std::size_t i = 0; i < got.rows.size(); ++i) {
+    EXPECT_EQ(got.rows[i].node, want.rows[i].node) << "row " << i;
+    EXPECT_EQ(got.rows[i].path, want.rows[i].path) << "row " << i;
+    EXPECT_EQ(got.rows[i].label, want.rows[i].label) << "row " << i;
+    EXPECT_EQ(got.rows[i].values, want.rows[i].values) << "row " << i;
+  }
+}
+
+/// Every pattern x clause combination, engine vs oracle. Random programs
+/// name their procedures p0 (the entry) .. pN.
+void expect_engine_matches_oracle(const prof::CanonicalCct& cct,
+                                  const metrics::MetricTable& table) {
+  const char* const patterns[] = {
+      "",                // every node
+      "**",              //
+      "**/p1*",          // the browse workload's glob
+      "p0/*",            // anchored, one level
+      "**/p2/**/p2",     // recursion: two distinct frames
+      "p0/**/p1?",       //
+      "**/p?",           // '?' glob
+      "p0/p1/p2",        // anchored chain: prunes early
+      "zz*/**",          // matches nothing, prunes at the first frame
+  };
+  const char* const clauses[] = {
+      "",
+      "where cycles.incl > 0.01*total",
+      "order by cycles.excl desc",  // heavy ties: most nodes are 0
+      "order by cycles.excl asc limit 1",
+      "order by flops.excl desc limit 20",
+      "where cycles.incl > 0 order by flops.incl asc limit 20",
+      "order by idle.excl desc limit 100000",  // all ties, limit > matches
+      "where cycles.excl >= 0 order by l2.excl asc",  // limit 0: unlimited
+      "select cycles.incl, flops.excl order by cycles.excl desc limit 7",
+      "where cycles.excl > 0 order by cycles.incl desc limit 20",
+      "select count(*), sum(cycles.excl) where cycles.excl > 0",
+      "select count(*), mean(cycles.incl), min(flops.incl), max(cycles.incl)",
+  };
+  std::map<std::string, QueryResult> bases;
+  for (const char* pattern : patterns) {
+    for (const char* clause : clauses) {
+      std::string text =
+          *pattern ? "match '" + std::string(pattern) + "' " : "";
+      text += clause;
+      SCOPED_TRACE(text);
+      expect_same_result(query::run(text, cct, table),
+                         oracle_run(text, cct, table, bases));
+    }
+  }
+}
+
+TEST(QueryOracle, MatchesTheDfsMatcherAndStableSortOnRandomPrograms) {
+  for (const std::uint64_t seed : {3ull, 10ull, 21ull, 77ull}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    // Recursion stays on (the generator's default), so '**/p2/**/p2' finds
+    // nested instances.
+    const workloads::Workload w =
+        workloads::make_random_program({.seed = seed});
+    sim::ParallelConfig pc;
+    pc.nranks = 4;
+    pc.base = w.run;
+    const prof::CanonicalCct cct = prof::Pipeline().run(
+        sim::run_parallel(*w.program, *w.lowering, pc), *w.tree);
+    const metrics::Attribution attr =
+        metrics::attribute_metrics(cct, metrics::all_events());
+    expect_engine_matches_oracle(cct, attr.table);
+  }
+}
+
+TEST(QueryOracle, MatchesTheDfsMatcherAndStableSortOnA64RankDivergentUnion) {
+  // pvbench's divergent shape: every rank explores its own slice of the
+  // context space, so the union (~111k nodes) dwarfs any one rank's tree.
+  workloads::RandomProgramOptions o;
+  o.seed = 7;
+  o.num_files = 8;
+  o.num_procs = 40;
+  o.max_stmt_depth = 4;
+  o.max_body_stmts = 4;
+  const workloads::Workload w = workloads::make_random_program(o);
+  sim::ParallelConfig pc;
+  pc.nranks = 64;
+  pc.base = w.run;
+  const prof::CanonicalCct cct = prof::Pipeline().run(
+      sim::run_parallel(*w.program, *w.lowering, pc), *w.tree);
+  ASSERT_GT(cct.size(), 100000u);
+  const metrics::Attribution attr =
+      metrics::attribute_metrics(cct, metrics::all_events());
+  expect_engine_matches_oracle(cct, attr.table);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // construction of the Callers View, sorting, flattening.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "pathview/support/error.hpp"
 
 #include "pathview/core/callers_view.hpp"
@@ -12,7 +15,11 @@
 #include "pathview/core/sort.hpp"
 #include "pathview/metrics/derived.hpp"
 #include "pathview/prof/correlate.hpp"
+#include "pathview/prof/pipeline.hpp"
+#include "pathview/sim/parallel_runner.hpp"
+#include "pathview/support/prng.hpp"
 #include "pathview/workloads/paper_example.hpp"
+#include "pathview/workloads/random_program.hpp"
 #include "test_util.hpp"
 
 namespace pathview::core {
@@ -114,6 +121,103 @@ TEST(Sort, ByLabel) {
   const auto& ch = v.node(v.root()).children;
   for (std::size_t i = 1; i < ch.size(); ++i)
     EXPECT_LE(v.label(ch[i - 1]), v.label(ch[i]));
+}
+
+/// A CCT view over pvbench's divergent shape at `nranks` ranks, plus an
+/// attribution over every event (many all-zero exclusive cells: ties).
+struct UnionFixture {
+  explicit UnionFixture(std::uint32_t nranks)
+      : w(make_workload()),
+        cct(prof::Pipeline().run(simulate(w, nranks), *w.tree)),
+        attr(metrics::attribute_metrics(cct, metrics::all_events())) {}
+
+  static workloads::Workload make_workload() {
+    workloads::RandomProgramOptions o;
+    o.seed = 7;
+    o.num_files = 8;
+    o.num_procs = 40;
+    o.max_stmt_depth = 4;
+    o.max_body_stmts = 4;
+    return workloads::make_random_program(o);
+  }
+  static std::vector<sim::RawProfile> simulate(const workloads::Workload& w,
+                                               std::uint32_t nranks) {
+    sim::ParallelConfig pc;
+    pc.nranks = nranks;
+    pc.base = w.run;
+    return sim::run_parallel(*w.program, *w.lowering, pc);
+  }
+
+  workloads::Workload w;
+  prof::CanonicalCct cct;
+  metrics::Attribution attr;
+};
+
+/// The comparator sort_children_by documents, for the std::stable_sort oracle.
+auto by_column(const View& v, metrics::ColumnId c, bool descending) {
+  const std::span<const double> col = v.table().column(c);
+  return [col, descending](ViewNodeId a, ViewNodeId b) {
+    return descending ? col[a] > col[b] : col[a] < col[b];
+  };
+}
+
+TEST(Sort, ChildSortMatchesStableSortAcrossTheInsertionThreshold) {
+  UnionFixture f(2);
+  CctView v(f.cct, f.attr);
+  ASSERT_GT(v.size(), 200u);
+  // Four distinct values over every row: ties in almost every comparison.
+  metrics::MetricDesc desc;
+  desc.name = "ties";
+  const metrics::ColumnId ties = v.table().add_column(desc);
+  std::uint64_t rng = 42;
+  for (ViewNodeId id = 0; id < v.size(); ++id)
+    v.table().set(ties, id, static_cast<double>(splitmix64(rng) % 4));
+  const metrics::ColumnId excl = f.attr.cols.exclusive(Event::kFlops);
+  std::vector<ViewNodeId>& ch = v.mutable_children(v.root());
+  for (std::size_t n = 0; n <= 80; ++n) {
+    for (const metrics::ColumnId c : {ties, excl}) {
+      for (const bool descending : {true, false}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " column=" << c
+                                        << " descending=" << descending);
+        ch.clear();
+        for (std::size_t i = 0; i < n; ++i)
+          ch.push_back(static_cast<ViewNodeId>(splitmix64(rng) % v.size()));
+        std::vector<ViewNodeId> want = ch;
+        std::stable_sort(want.begin(), want.end(), by_column(v, c, descending));
+        sort_children_by(v, v.root(), c, descending);
+        EXPECT_EQ(ch, want);
+      }
+    }
+  }
+}
+
+TEST(Sort, ChainedSortsMatchStableSortAtEveryStep) {
+  UnionFixture f(16);
+  CctView v(f.cct, f.attr);
+  // Every CCT child list here is short (insertion sort); widen the root's
+  // to 70 distinct nodes so the std::stable_sort path runs in the chain too.
+  std::vector<ViewNodeId>& top = v.mutable_children(v.root());
+  for (ViewNodeId id = 1; top.size() < 70; id += 97)
+    if (std::find(top.begin(), top.end(), id) == top.end()) top.push_back(id);
+  // Twenty sorts on different columns and directions, checked against
+  // std::stable_sort on a copy of every child list after each step: each
+  // step's ties are broken by the order the previous steps left.
+  std::vector<std::vector<ViewNodeId>> ref(v.size());
+  for (ViewNodeId id = 0; id < v.size(); ++id) ref[id] = v.node(id).children;
+  const std::size_t ncols = v.table().num_columns();
+  for (std::size_t step = 0; step < 20; ++step) {
+    const auto c = static_cast<metrics::ColumnId>((step * 7) % ncols);
+    const bool descending = step % 3 != 1;
+    SCOPED_TRACE(testing::Message() << "step " << step << ": column " << c
+                                    << (descending ? " desc" : " asc"));
+    sort_built_by(v, c, descending);
+    for (auto& kids : ref)
+      std::stable_sort(kids.begin(), kids.end(), by_column(v, c, descending));
+    std::size_t differing = 0;
+    for (ViewNodeId id = 0; id < v.size(); ++id)
+      if (v.node(id).children != ref[id]) ++differing;
+    EXPECT_EQ(differing, 0u);
+  }
 }
 
 TEST(Flatten, ElidesOneLevelAndRestores) {
